@@ -4,7 +4,7 @@
 GO ?= go
 COVERPROFILE ?= coverage.out
 BENCHTIME ?= 100ms
-BENCHPKGS ?= . ./internal/nn ./internal/cache
+BENCHPKGS ?= . ./internal/nn ./internal/tensor ./internal/cache
 FUZZTIME ?= 5s
 
 .PHONY: build test race cover fmt vet lint leaktest bench bench-compare fuzz-short chaos trace-smoke obsd-smoke ci

@@ -268,6 +268,11 @@ type Report struct {
 	MeanStaleness float64
 	Elapsed       time.Duration
 	FinalWeights  []float64
+	// ShedPayloads counts trajectories/gradients shed under backpressure
+	// (a full loader, learner or parameter queue). Shedding is load
+	// control, not fault recovery, so it can be nonzero on a healthy
+	// cache.
+	ShedPayloads int64
 
 	// Resilience counters, aggregated over every cache client the run
 	// opened plus the workers' graceful-degradation fallbacks. All stay
@@ -281,10 +286,10 @@ type Report struct {
 	// StaleWeightReuses counts worker iterations that proceeded on a
 	// previously fetched weight vector because the fetch failed.
 	StaleWeightReuses int64
-	// DroppedPayloads counts trajectories/gradients abandoned on any
-	// shed-load path: retry exhaustion, corrupt decode, backpressure,
-	// or a learner with no weights. Options.Obs breaks the same events
-	// down by reason in live_dropped_payloads_total.
+	// DroppedPayloads counts trajectories/gradients lost to a fault:
+	// retry exhaustion, corrupt decode, or a learner with no weights.
+	// Options.Obs breaks it and ShedPayloads down by reason in
+	// live_dropped_payloads_total.
 	DroppedPayloads int64
 	// ShardFailovers counts shard leaders replaced by their follower
 	// (cluster mode only), summed across every worker's sharded client —

@@ -8,10 +8,11 @@ import (
 	"stellaris/internal/obs"
 )
 
-// Shed-load drop reasons (the label values of
-// live_dropped_payloads_total). Every branch that abandons a trajectory
-// or gradient must go through runState.drop with one of these so the
-// aggregate Report.DroppedPayloads and the per-reason counters agree.
+// Drop reasons (the label values of live_dropped_payloads_total). Every
+// branch that abandons a trajectory or gradient must go through
+// runState.drop with one of these so the per-reason counters sum to
+// Report.DroppedPayloads (faults) plus Report.ShedPayloads
+// (backpressure).
 const (
 	dropPutFailed    = "put-failed"    // cache Put exhausted its retries
 	dropDecodeFailed = "decode-failed" // payload corrupted in transit/storage
@@ -101,16 +102,21 @@ func (m *liveMetrics) iter(role string, worker int, d time.Duration) {
 
 // runState bundles the counters every worker shares. It exists so the
 // actor/learner shed paths count drops exactly once in both the Report
-// aggregate and the labeled registry family.
+// aggregates and the labeled registry family.
 type runState struct {
 	staleReuses atomic.Int64
-	dropped     atomic.Int64
+	dropped     atomic.Int64 // fault losses
+	shed        atomic.Int64 // backpressure load shedding
 	m           *liveMetrics
 }
 
-// drop records one shed payload under reason.
+// drop records one abandoned payload under reason.
 func (s *runState) drop(reason string) {
-	s.dropped.Add(1)
+	if reason == dropBackpressure {
+		s.shed.Add(1)
+	} else {
+		s.dropped.Add(1)
+	}
 	if s.m != nil {
 		s.m.drops.With(reason).Inc()
 	}

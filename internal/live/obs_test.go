@@ -66,16 +66,18 @@ func TestLiveTrainObsExposition(t *testing.T) {
 		t.Fatalf("cache_client_op_seconds{op=get}: %+v ok=%v", g, ok)
 	}
 
-	// Per-reason drop counters must sum to the report's aggregate —
-	// every shed path counts exactly once.
+	// Per-reason drop counters must sum to the report's two aggregates
+	// (fault drops and backpressure shedding) — every path counts
+	// exactly once.
 	var reasonSum int64
 	for _, p := range rep.Obs.Counters {
 		if p.Name == "live_dropped_payloads_total" {
 			reasonSum += int64(p.Value)
 		}
 	}
-	if reasonSum != rep.DroppedPayloads {
-		t.Fatalf("per-reason drops sum to %d, report says %d", reasonSum, rep.DroppedPayloads)
+	if reasonSum != rep.DroppedPayloads+rep.ShedPayloads {
+		t.Fatalf("per-reason drops sum to %d, report says %d dropped + %d shed",
+			reasonSum, rep.DroppedPayloads, rep.ShedPayloads)
 	}
 
 	// And the HTTP endpoint serves all of it in Prometheus text form.

@@ -536,6 +536,7 @@ func (r *run) buildReport() *Report {
 		CacheTimeouts:      cst.Timeouts,
 		StaleWeightReuses:  r.st.staleReuses.Load(),
 		DroppedPayloads:    r.st.dropped.Load(),
+		ShedPayloads:       r.st.shed.Load(),
 		WeightRegressions:  r.subRegressions(),
 		ActorRestarts:      r.actorRestarts.Load(),
 		LearnerRestarts:    r.learnerRestarts.Load(),

@@ -264,7 +264,7 @@ func TestTraceThroughChaos(t *testing.T) {
 	// The run survived real faults; shed/gap accounting must be visible
 	// rather than silent when drops happened.
 	st := rep.Lineage.Stats()
-	if rep.DroppedPayloads > 0 {
+	if rep.DroppedPayloads+rep.ShedPayloads > 0 {
 		var shed float64
 		if p, ok := rep.Obs.Find("lineage_events_total", map[string]string{"hop": "shed"}); ok {
 			shed += p.Value
@@ -273,7 +273,8 @@ func TestTraceThroughChaos(t *testing.T) {
 			shed += p.Value
 		}
 		if shed == 0 && st.Gaps == 0 {
-			t.Fatalf("%d payloads dropped but lineage shows no shed/gap (stats %+v)", rep.DroppedPayloads, st)
+			t.Fatalf("%d payloads dropped, %d shed, but lineage shows no shed/gap (stats %+v)",
+				rep.DroppedPayloads, rep.ShedPayloads, st)
 		}
 	}
 }

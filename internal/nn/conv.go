@@ -22,7 +22,6 @@ type Conv2D struct {
 	// Reused forward/backward buffers (see package doc on ownership).
 	out, res         *tensor.Mat
 	dIn, dRes, dCols *tensor.Mat
-	dW               []float64
 }
 
 // NewConv2D creates a convolution layer with He-uniform initialized
@@ -108,10 +107,7 @@ func (c *Conv2D) Backward(dOut *tensor.Mat) *tensor.Mat {
 	dIn := ensureMat(&c.dIn, dOut.Rows, s.InSize())
 	dIn.Zero() // Col2Im accumulates into its destination
 	w := tensor.MatFrom(s.OutC, s.PatchSize(), c.W.Data)
-	if cap(c.dW) < len(c.W.Data) {
-		c.dW = make([]float64, len(c.W.Data))
-	}
-	dW := tensor.MatFrom(s.OutC, s.PatchSize(), c.dW[:len(c.W.Data)])
+	dW := tensor.MatFrom(s.OutC, s.PatchSize(), c.W.Grad)
 	dRes := ensureMat(&c.dRes, positions, s.OutC)
 	dCols := ensureMat(&c.dCols, positions, s.PatchSize())
 	for i := 0; i < dOut.Rows; i++ {
@@ -125,8 +121,7 @@ func (c *Conv2D) Backward(dOut *tensor.Mat) *tensor.Mat {
 		}
 		// db += colsum(dRes), dW += dResᵀ * cols, dCols = dRes * W.
 		tensor.SumRows(c.B.Grad, dRes)
-		tensor.MatMulATB(dW, dRes, c.lastCols[i])
-		tensor.Axpy(1, dW.Data, c.W.Grad)
+		tensor.MatMulATBAdd(dW, dRes, c.lastCols[i])
 		tensor.MatMul(dCols, dRes, w)
 		s.Col2Im(dIn.Row(i), dCols)
 	}

@@ -17,7 +17,6 @@ type Dense struct {
 	lastIn *tensor.Mat // cached for backward
 	out    *tensor.Mat // reused forward output buffer
 	dIn    *tensor.Mat // reused buffer
-	dW     []float64   // reused gradient scratch
 }
 
 // NewDense creates a dense layer with Xavier-uniform weights, the
@@ -79,12 +78,7 @@ func (d *Dense) Backward(dOut *tensor.Mat) *tensor.Mat {
 		panic("nn: Dense.Backward before Forward")
 	}
 	// dW += dOutᵀ * in ; db += colsum(dOut) ; dIn = dOut * W
-	if cap(d.dW) < d.Out*d.In {
-		d.dW = make([]float64, d.Out*d.In)
-	}
-	dW := tensor.MatFrom(d.Out, d.In, d.dW[:d.Out*d.In])
-	tensor.MatMulATB(dW, dOut, d.lastIn) // zeroes dW first
-	tensor.Axpy(1, dW.Data, d.W.Grad)
+	tensor.MatMulATBAdd(tensor.MatFrom(d.Out, d.In, d.W.Grad), dOut, d.lastIn)
 	tensor.SumRows(d.B.Grad, dOut)
 
 	dIn := ensureMat(&d.dIn, dOut.Rows, d.In)

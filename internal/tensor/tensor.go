@@ -4,8 +4,18 @@
 //
 // The package is deliberately small and allocation-aware rather than
 // general: every hot loop in DRL gradient computation reduces to matmul,
-// matvec, axpy and elementwise maps over contiguous slices, which the Go
-// compiler vectorizes reasonably well.
+// matvec, axpy and elementwise maps over contiguous slices.
+//
+// The matmul kernels are register-blocked. MatMulABT computes four dot
+// products per pass over a row of a; MatMul, MatMulATB and MatMulATBAdd
+// add four scaled rows of b per pass over a row of dst. Blocking changes
+// no bits: every output element is still a left-to-right sum that starts
+// at +0 and adds its terms in ascending k, the order of the plain loops.
+// Zero terms may be skipped or added alike: an accumulator that starts at
+// +0 never becomes -0, so adding 0·b (for finite b) cannot change it.
+// That is why a 4-block whose coefficients are all zero is skipped while
+// a block with some zeros adds them. Bounds checks go by re-slicing rows
+// to a common length.
 package tensor
 
 import (
@@ -65,49 +75,79 @@ func MatMul(dst, a, b *Mat) {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	dst.Zero()
-	// ikj loop order: streams over b and dst rows for cache friendliness.
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
 		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range brow {
-				drow[j] += aik * brow[j]
-			}
-		}
+		clear(drow)
+		addRows(drow, a.Row(i), 1, b, 0)
 	}
 }
 
 // MatMulATB computes dst = aᵀ * b (a is k x m, b is k x n, dst is m x n).
-// Used by backward passes to accumulate weight gradients.
 func MatMulATB(dst, a, b *Mat) {
+	dst.Zero()
+	MatMulATBAdd(dst, a, b)
+}
+
+// MatMulATBAdd computes dst += aᵀ * b, the weight-gradient accumulation
+// of the backward passes. Each element's sum is formed from zero and then
+// added to dst once, so the result is bit-identical to computing aᵀ * b
+// into a scratch matrix and adding that with Axpy, without the scratch.
+// (Adding term by term into dst would round differently.)
+func MatMulATBAdd(dst, a, b *Mat) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch (%dx%d)ᵀ*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	dst.Zero()
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, aki := range arow {
-			if aki == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j := range brow {
-				drow[j] += aki * brow[j]
+	// Sums are formed on the stack, addChunk columns of a row at a time.
+	const addChunk = 256
+	var buf [addChunk]float64
+	for j0 := 0; j0 < b.Cols; j0 += addChunk {
+		s := buf[:min(addChunk, b.Cols-j0)]
+		for i := 0; i < dst.Rows; i++ {
+			clear(s)
+			addRows(s, a.Data[i:], a.Cols, b, j0)
+			drow := dst.Row(i)[j0:][:len(s)]
+			for j, v := range s {
+				drow[j] += v
 			}
 		}
 	}
 }
 
-// MatMulABT computes dst = a * bᵀ (a is m x k, b is n x k, dst is m x n).
-// Used by backward passes to propagate deltas through dense layers.
+// addRows adds Σ_k coef[k*stride]·b[k][off:off+len(d)] to d, over the
+// rows k of b in ascending order: four rows per pass over d, then the
+// remainder one at a time. A block whose coefficients are all zero is
+// skipped (see the package comment for why that keeps every bit).
+func addRows(d, coef []float64, stride int, b *Mat, off int) {
+	n, k := len(d), 0
+	for ; k+4 <= b.Rows; k += 4 {
+		c0, c1, c2, c3 := coef[k*stride], coef[(k+1)*stride], coef[(k+2)*stride], coef[(k+3)*stride]
+		if c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0 {
+			continue
+		}
+		b0 := b.Data[k*b.Cols+off:][:n]
+		b1 := b.Data[(k+1)*b.Cols+off:][:n]
+		b2 := b.Data[(k+2)*b.Cols+off:][:n]
+		b3 := b.Data[(k+3)*b.Cols+off:][:n]
+		for j, v := range d {
+			d[j] = v + c0*b0[j] + c1*b1[j] + c2*b2[j] + c3*b3[j]
+		}
+	}
+	for ; k < b.Rows; k++ {
+		c := coef[k*stride]
+		if c == 0 {
+			continue
+		}
+		bk := b.Data[k*b.Cols+off:][:n]
+		for j, v := range d {
+			d[j] = v + c*bk[j]
+		}
+	}
+}
+
+// MatMulABT computes dst = a * bᵀ (a is m x k, b is n x k, dst is m x n),
+// the forward pass of dense and convolutional layers. Four rows of b
+// share each pass over a row of a.
 func MatMulABT(dst, a, b *Mat) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch (%dx%d)*(%dx%d)ᵀ->(%dx%d)",
@@ -116,10 +156,26 @@ func MatMulABT(dst, a, b *Mat) {
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = dot4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
+		}
+		for ; j < b.Rows; j++ {
 			drow[j] = Dot(arow, b.Row(j))
 		}
 	}
+}
+
+// dot4 returns the inner products of a with b0..b3, each summed like Dot.
+func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for k, av := range a {
+		s0 += av * b0[k]
+		s1 += av * b1[k]
+		s2 += av * b2[k]
+		s3 += av * b3[k]
+	}
+	return s0, s1, s2, s3
 }
 
 // Dot returns the inner product of a and b.
